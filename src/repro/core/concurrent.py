@@ -1,10 +1,11 @@
-"""A thread-safe facade over a maintained Ranked Join Index.
+"""A thread-safe facade over the write engine.
 
-The core index is a plain in-memory structure; incremental maintenance
-mutates its region list in place.  :class:`ConcurrentRankedJoinIndex`
-adds a readers-writer lock so many query threads proceed concurrently
-while inserts/deletes/rebuilds take exclusive ownership — the standard
-discipline a database system would put around a shared index.
+:class:`ConcurrentRankedJoinIndex` wraps
+:class:`~repro.core.writer.DeltaWriter` in a readers-writer lock so many
+query threads proceed concurrently while inserts/deletes/rebuilds take
+exclusive ownership — the standard discipline a database system would
+put around a shared index — and compacts the delta on a background
+thread, so only the O(1) swap takes the write lock.
 
 Writer preference: once a writer is waiting, new readers block, so
 maintenance cannot starve under a heavy query load.
@@ -18,18 +19,17 @@ behind a long rebuild fails fast with
 
 from __future__ import annotations
 
-import math
 import threading
 import time
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import ContextManager, Iterable, Iterator
 
-from ..errors import LockDisciplineError, MaintenanceError, QueryTimeoutError
-from .deadline import Deadline, DeadlineLike
-from .delta import DeltaStore, SupportsWal
-from .index import QueryResult, RankedJoinIndex
-from .maintenance import delete_tuple, insert_tuple
-from .scoring import PreferenceLike
+from ..errors import LockDisciplineError, QueryTimeoutError
+from .deadline import Deadline
+from .delta import SupportsWal
+from .index import RankedJoinIndex
 from .tuples import RankTuple, RankTupleSet
+from .writer import CompactionSnapshot, DeltaWriter, WriteTier
 
 __all__ = ["ReadWriteLock", "ConcurrentRankedJoinIndex"]
 
@@ -120,8 +120,19 @@ class ReadWriteLock:
         return self._WriteGuard(self)
 
 
-class ConcurrentRankedJoinIndex:
-    """Shared-read / exclusive-write wrapper around a RankedJoinIndex."""
+class ConcurrentRankedJoinIndex(WriteTier):
+    """Shared-read / exclusive-write wrapper around the write engine.
+
+    Writes need the full live tuple set, because every compaction
+    rebuilds the base from it.  :meth:`build` supplies it; wrapping an
+    existing index takes it as ``pool=`` (with the ``build_options`` the
+    index was built with).  Without ``pool=`` the wrapper serves queries
+    only: ``n_live`` is 0 and writes raise
+    :class:`~repro.errors.MaintenanceError` until :meth:`rebuild`
+    supplies a tuple set.  The index's own dominating set is no
+    substitute, since the build pruned the K-dominated tuples a later
+    delete can bring back into a top-k.
+    """
 
     def __init__(
         self,
@@ -132,34 +143,27 @@ class ConcurrentRankedJoinIndex:
         pool: Iterable[RankTuple] | None = None,
         build_options: dict | None = None,
     ):
-        self._index = index
         self._lock = ReadWriteLock()
-        # The construction bound is immutable across rebuilds (rebuild()
-        # reuses it), so it is cached here and served without the lock.
-        self._k_bound = index.k_bound
-        # WAL-then-delta mode: writes commit to the log, land in a
-        # DeltaStore merged by every query, and a *background* thread
-        # compacts the delta into a fresh base once it grows past
-        # ``delta_threshold`` — readers keep draining on the old store
-        # while the replacement builds; only the swap takes the write
-        # lock.  ``pool`` seeds the full live tuple set compaction
-        # rebuilds from; it defaults to the index's dominating set,
-        # which is only complete when the index was built unpruned.
-        self._wal = wal
-        self._delta_threshold = max(1, delta_threshold)
-        self._build_options = dict(build_options or {})
-        self._delta: DeltaStore | None = None
-        self._pool: dict[int, RankTuple] = {}
+        # Writes commit to the log (in-memory unless ``wal`` is given),
+        # land in a DeltaStore merged by every query, and a *background*
+        # thread compacts the delta into a fresh base once it is due —
+        # readers keep draining on the old store while the replacement
+        # builds; only the swap takes the write lock.
+        self._writer = DeltaWriter(
+            index,
+            None
+            if pool is None
+            else {
+                int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
+                for t in pool
+            },
+            wal,
+            threshold=delta_threshold,
+            build_options=build_options,
+            on_due=self._start_compaction,
+        )
         self._compacting = False
         self._compaction_thread: threading.Thread | None = None
-        if wal is not None:
-            self._delta = DeltaStore()
-            index.attach_delta(self._delta)
-            source = pool if pool is not None else index.dominating
-            self._pool = {
-                int(t.tid): RankTuple(int(t.tid), float(t.s1), float(t.s2))
-                for t in source
-            }
 
     @classmethod
     def build(
@@ -173,9 +177,8 @@ class ConcurrentRankedJoinIndex:
     ) -> "ConcurrentRankedJoinIndex":
         """Build the wrapped index; ``options`` are forwarded verbatim to
         :meth:`RankedJoinIndex.build` (including the ``workers`` and
-        ``block_rows`` construction-tuning knobs).  Passing ``wal=``
-        enables the durable write path; the full input tuple set becomes
-        the live pool that background compactions rebuild from."""
+        ``block_rows`` construction-tuning knobs) and to every
+        compaction.  The full input tuple set becomes the live pool."""
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
         index = RankedJoinIndex.build(tuples, k, **options)
@@ -183,210 +186,106 @@ class ConcurrentRankedJoinIndex:
             index,
             wal=wal,
             delta_threshold=delta_threshold,
-            pool=tuples if wal is not None else None,
+            pool=tuples,
             build_options=options,
         )
 
-    # -- readers -----------------------------------------------------------
+    # -- lock discipline -----------------------------------------------------
 
-    def _acquire_read(self, deadline: Deadline | None) -> None:
-        """Take the read lock within the deadline's remaining budget."""
+    @contextmanager
+    def _reading(self, deadline: Deadline | None = None) -> Iterator[None]:
+        """Hold the read lock, taken within the deadline's budget (so a
+        query stuck behind a long rebuild fails fast)."""
         if deadline is None:
             self._lock.acquire_read()
-            return
-        remaining = deadline.remaining()
-        if remaining <= 0 or not self._lock.acquire_read(remaining):
-            raise QueryTimeoutError(
-                "query deadline expired while waiting for the read lock"
-            )
-
-    def query(
-        self,
-        preference: PreferenceLike,
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[QueryResult]:
-        """Top-k under ``preference``; ``deadline`` (a
-        :class:`~repro.core.deadline.Deadline` or seconds) covers the
-        read-lock wait *and* the query itself, raising
-        :class:`~repro.errors.QueryTimeoutError` once exceeded."""
-        deadline = Deadline.of(deadline)
-        self._acquire_read(deadline)
-        try:
-            return self._index.query(preference, k, deadline=deadline)
-        finally:
-            self._lock.release_read()
-
-    def query_batch(
-        self,
-        preferences: Sequence[PreferenceLike],
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[list[QueryResult]]:
-        deadline = Deadline.of(deadline)
-        self._acquire_read(deadline)
-        try:
-            return self._index.query_batch(preferences, k, deadline=deadline)
-        finally:
-            self._lock.release_read()
-
-    @property
-    def k_bound(self) -> int:
-        return self._k_bound
-
-    @property
-    def k_effective(self) -> int:
-        with self._lock.reading():
-            if self._delta is not None:
-                return max(
-                    0, self._index.k_effective - self._delta.n_tombstones
+        else:
+            remaining = deadline.remaining()
+            if remaining <= 0 or not self._lock.acquire_read(remaining):
+                raise QueryTimeoutError(
+                    "query deadline expired while waiting for the read lock"
                 )
-            return self._index.k_effective
+        try:
+            yield
+        finally:
+            self._lock.release_read()
+
+    def _writing(self) -> ContextManager:
+        return self._lock.writing()
 
     @property
     def n_regions(self) -> int:
         with self._lock.reading():
-            return self._index.n_regions
+            return self._writer.index.n_regions
 
     def snapshot_stats(self):
         with self._lock.reading():
-            return self._index.stats
-
-    # -- writers ----------------------------------------------------------------
-
-    def insert(self, tuple_: RankTuple) -> bool:
-        """Add a tuple under exclusive ownership.
-
-        In WAL mode the records reach durable storage (append + commit,
-        i.e. fsync) *before* the delta buffers the tuple — the commit
-        return is the acknowledgement point, so an acknowledged insert
-        survives any later crash."""
-        with self._lock.writing():
-            wal, delta = self._wal, self._delta
-            if wal is None or delta is None:
-                return insert_tuple(self._index, tuple_)
-            tid = int(tuple_.tid)
-            if tid in self._pool:
-                raise MaintenanceError(f"tuple id {tid} already live")
-            candidate = RankTuple(tid, float(tuple_.s1), float(tuple_.s2))
-            if not (
-                math.isfinite(candidate.s1) and math.isfinite(candidate.s2)
-            ):
-                raise MaintenanceError("rank values must be finite")
-            lsn = wal.append_insert(tid, candidate.s1, candidate.s2)
-            wal.commit()
-            delta.insert(candidate, lsn)
-            self._pool[tid] = candidate
-            self._maybe_compact_locked()
-            return True
-
-    def delete(self, tid: int) -> int:
-        """Remove a tuple; returns the effective bound that remains."""
-        with self._lock.writing():
-            wal, delta = self._wal, self._delta
-            if wal is None or delta is None:
-                return delete_tuple(self._index, tid)
-            tid = int(tid)
-            if tid not in self._pool:
-                raise MaintenanceError(f"tuple id {tid} is not live")
-            if len(self._pool) == 1:
-                raise MaintenanceError(
-                    "deleting the last live tuple; an index cannot be empty"
-                )
-            lsn = wal.append_delete(tid)
-            wal.commit()
-            del self._pool[tid]
-            delta.delete(tid, lsn)
-            self._maybe_compact_locked()
-            return max(0, self._index.k_effective - delta.n_tombstones)
+            return self._writer.index.stats
 
     # -- background compaction --------------------------------------------------
 
-    def _maybe_compact_locked(self) -> None:
-        """Kick off a background compaction if the delta grew too fat.
+    def _start_compaction(self) -> None:
+        """Kick off a background compaction unless one is in flight.
 
         Caller holds the write lock.  The snapshot (live pool copy +
-        current WAL position) is taken here, under the lock, so the
+        current log position) is taken here, under the lock, so the
         builder thread never touches shared mutable state."""
-        delta, wal = self._delta, self._wal
-        if delta is None or wal is None or self._compacting:
+        if self._compacting:
             return
-        if (
-            delta.n_ops < self._delta_threshold
-            and delta.n_tombstones * 2 < self._index.k_effective
-        ):
-            return
-        snapshot = sorted(self._pool.values())
-        snapshot_lsn = wal.last_lsn
         self._compacting = True
         worker = threading.Thread(
             target=self._compact_from,
-            args=(snapshot, snapshot_lsn),
+            args=(self._writer.snapshot(),),
             name="rji-compaction",
             daemon=True,
         )
         self._compaction_thread = worker
         worker.start()
 
-    def _compact_from(
-        self, snapshot: list[RankTuple], snapshot_lsn: int
-    ) -> None:
+    def _compact_from(self, snapshot: CompactionSnapshot) -> None:
         """Build a fresh base from ``snapshot`` and swap it in.
 
         Runs on the compaction thread.  The build happens outside any
         lock (old readers drain on the old store); the swap takes the
         write lock and is O(1): entries the delta absorbed after the
-        snapshot stay buffered via :meth:`DeltaStore.clear_upto`."""
+        snapshot stay buffered.  A failure is kept for the next write,
+        :meth:`compact` or :meth:`drain_compaction` to raise."""
         try:
-            fresh = RankedJoinIndex.build(
-                RankTupleSet.from_tuples(snapshot),
-                self._k_bound,
-                **self._build_options,
-            )
+            self._writer.compact(snapshot, swap=self._lock.writing)
+        except Exception as exc:  # noqa: BLE001 - surfaced to the next caller
             with self._lock.writing():
-                delta = self._delta
-                if delta is not None:
-                    delta.clear_upto(snapshot_lsn)
-                    fresh.attach_delta(delta)
-                self._index = fresh
+                self._writer.record_failure(exc)
         finally:
             with self._lock.writing():
                 self._compacting = False
 
     def compact(self) -> None:
-        """Synchronously merge the delta into a fresh base index."""
+        """Merge everything written so far into a fresh base; blocks.
+
+        Any run started after the first drain snapshots at least the
+        current log position, so waiting for it suffices."""
         self.drain_compaction()
         with self._lock.writing():
-            wal, delta = self._wal, self._delta
-            if wal is None or delta is None or delta.is_empty:
-                return
-            snapshot = sorted(self._pool.values())
-            snapshot_lsn = wal.last_lsn
-            # Claim the compaction slot before dropping the lock so a
-            # concurrent writer cannot start a background run meanwhile.
-            self._compacting = True
-        self._compact_from(snapshot, snapshot_lsn)
+            if not self._writer.delta.is_empty:
+                self._start_compaction()
+        self.drain_compaction()
 
     def drain_compaction(self, timeout: float | None = None) -> bool:
-        """Wait for an in-flight background compaction; True when idle."""
+        """Wait for an in-flight background compaction; True when idle.
+
+        Raises the :class:`~repro.errors.CompactionError` of a failed
+        run (once)."""
         worker = self._compaction_thread
-        if worker is not None and worker.is_alive():
+        if worker is not None:
             worker.join(timeout)
-            return not worker.is_alive()
+            if worker.is_alive():
+                return False
+        with self._lock.writing():
+            self._writer.raise_failure()
         return True
 
-    @property
-    def delta(self) -> DeltaStore | None:
-        """The live write buffer (``None`` outside WAL mode)."""
-        with self._lock.reading():
-            return self._delta
-
-    @property
-    def n_live(self) -> int:
-        with self._lock.reading():
-            return len(self._pool)
+    def close(self) -> None:
+        """Join the compaction thread; raises a failure it left behind."""
+        self.drain_compaction()
 
     def rebuild(
         self, tuples: RankTupleSet | Iterable[RankTuple], **options
@@ -396,22 +295,13 @@ class ConcurrentRankedJoinIndex:
         The build runs *outside* the write lock, so readers keep being
         served from the old index while the replacement is constructed —
         pass ``workers=N`` to speed the event pass up without extending
-        the swap's exclusive section, which stays O(1).  In WAL mode the
-        given tuples become the new live pool and the delta restarts
-        empty (an explicit administrative reset, not a logged write).
+        the swap's exclusive section, which stays O(1).  The given
+        tuples become the new live pool and the delta restarts empty
+        (an explicit administrative reset, not a logged write); an
+        in-flight background compaction of the old pool is discarded.
         """
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
-        fresh = RankedJoinIndex.build(tuples, self._k_bound, **options)
+        fresh = RankedJoinIndex.build(tuples, self.k_bound, **options)
         with self._lock.writing():
-            if self._wal is not None:
-                delta = DeltaStore()
-                fresh.attach_delta(delta)
-                self._delta = delta
-                self._pool = {
-                    int(t.tid): RankTuple(
-                        int(t.tid), float(t.s1), float(t.s2)
-                    )
-                    for t in tuples
-                }
-            self._index = fresh
+            self._writer.reset(fresh, {t.tid: t for t in tuples})

@@ -1,9 +1,10 @@
 """Cooperative per-query deadlines.
 
 Every index front-door — :class:`~repro.core.index.RankedJoinIndex`,
-:class:`~repro.core.concurrent.ConcurrentRankedJoinIndex`,
-:class:`~repro.core.managed.ManagedRankedJoinIndex`, the resilient disk
-wrapper in :mod:`repro.storage.resilient`, and the remote
+the write tiers :class:`~repro.core.managed.ManagedRankedJoinIndex`,
+:class:`~repro.core.concurrent.ConcurrentRankedJoinIndex` and
+:class:`~repro.storage.durable.DurableRankedJoinIndex`, the resilient
+disk wrapper in :mod:`repro.storage.resilient`, and the remote
 :class:`repro.serve.Client` — accepts one canonical keyword-only
 ``deadline`` argument (a :class:`Deadline` or a plain number of
 seconds, the :data:`DeadlineLike` alias) that the query paths check at

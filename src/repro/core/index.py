@@ -671,12 +671,6 @@ class RankedJoinIndex:
         """
         self._delta = delta
 
-    def detach_delta(self) -> DeltaStore | None:
-        """Stop merging; returns the previously attached delta."""
-        delta = self._delta
-        self._delta = None
-        return delta
-
     @property
     def delta(self) -> DeltaStore | None:
         """The attached write buffer, or ``None``."""

@@ -1,31 +1,23 @@
-"""A managed index: maintenance plus an automatic rebuild policy.
+"""A managed index: the write engine with synchronous compaction.
 
-:class:`ManagedRankedJoinIndex` owns the full live tuple pool alongside
-the index, applies inserts/deletes through
-:mod:`repro.core.maintenance`, and rebuilds from the pool once lazy
-deletions have eaten the guarantee down to a configurable floor — the
+:class:`ManagedRankedJoinIndex` is the single-threaded tier over
+:class:`~repro.core.writer.DeltaWriter`: writes commit to a log (any
+:class:`~repro.core.delta.SupportsWal`, an in-memory one by default),
+land in the delta every query merges, and the base index is rebuilt
+from the full live pool as soon as the delta is due — the
 build-fast/degrade-slowly lifecycle a deployment would actually run.
-
-Correctness note on deletions: deleting an indexed tuple lowers
-``k_effective`` by one (see :mod:`repro.core.maintenance`); deleting a
-pool tuple that was K-dominated changes nothing — after ``r`` deletions
-it is still dominated by at least ``K - r`` live tuples, so it can never
-enter a top-(K-r) answer, which is exactly the degraded guarantee.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import MaintenanceError
-from .deadline import DeadlineLike
-from .delta import DeltaStore, SupportsWal
-from .index import QueryResult, RankedJoinIndex
-from .maintenance import delete_tuple, insert_tuple
-from .scoring import PreferenceLike
+from .delta import SupportsWal
+from .index import RankedJoinIndex
 from .tuples import RankTuple, RankTupleSet
+from .writer import DeltaWriter, WriteTier
 
 __all__ = ["MaintenanceLog", "ManagedRankedJoinIndex"]
 
@@ -35,227 +27,89 @@ class MaintenanceLog:
     """Lifetime counters of a managed index."""
 
     inserts_applied: int = 0
-    inserts_pruned: int = 0
     deletes: int = 0
     rebuilds: int = 0
     events: list[str] = field(default_factory=list)
 
 
-class ManagedRankedJoinIndex:
-    """Index + tuple pool + auto-rebuild once the guarantee degrades."""
+class ManagedRankedJoinIndex(WriteTier):
+    """Index + tuple pool + rebuild once the delta is due."""
 
     def __init__(
         self,
         tuples: RankTupleSet | Iterable[RankTuple],
         k: int,
         *,
-        min_effective_k: int | None = None,
         wal: SupportsWal | None = None,
         delta_threshold: int = 64,
         **build_options,
     ):
         # build_options are forwarded verbatim to RankedJoinIndex.build
-        # on the initial build AND every auto-rebuild, so construction
+        # on the initial build AND every compaction, so construction
         # tuning (workers=, block_rows=, merge_slack=, ...) sticks for
         # the lifetime of the managed index.
         if not isinstance(tuples, RankTupleSet):
             tuples = RankTupleSet.from_tuples(tuples)
-        self.k_bound = k
-        self._build_options = dict(build_options)
-        self.min_effective_k = (
-            min_effective_k
-            if min_effective_k is not None
-            else max(1, math.ceil(k / 2))
-        )
-        if not 1 <= self.min_effective_k <= k:
-            raise MaintenanceError(
-                f"min_effective_k must be in [1, {k}], got {self.min_effective_k}"
-            )
-        self._pool: dict[int, RankTuple] = {t.tid: t for t in tuples}
         self.log = MaintenanceLog()
-        self._index = RankedJoinIndex.build(tuples, k, **build_options)
-        # WAL-then-delta mode (wal= is any SupportsWal, in practice
-        # repro.storage.wal.WriteAheadLog): writes append + commit to
-        # the log first, then land in a DeltaStore that queries merge,
-        # and the base store stays immutable until compact().  Without a
-        # wal the classic in-place maintenance path is unchanged.
-        self._wal = wal
-        self._delta_threshold = max(1, delta_threshold)
-        self._delta: DeltaStore | None = None
-        if wal is not None:
-            self._delta = DeltaStore()
-            self._index.attach_delta(self._delta)
-
-    # -- queries -----------------------------------------------------------
-
-    def query(
-        self,
-        preference: PreferenceLike,
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[QueryResult]:
-        """Top-k over the current live population.
-
-        ``deadline`` (a :class:`~repro.core.deadline.Deadline` or
-        seconds) arms a cooperative per-query deadline;
-        :class:`~repro.errors.QueryTimeoutError` is raised past it.
-        """
-        return self._index.query(preference, k, deadline=deadline)
-
-    def query_batch(
-        self,
-        preferences: Sequence[PreferenceLike],
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[list[QueryResult]]:
-        return self._index.query_batch(preferences, k, deadline=deadline)
-
-    @property
-    def k_effective(self) -> int:
-        if self._delta is not None:
-            return max(0, self._index.k_effective - self._delta.n_tombstones)
-        return self._index.k_effective
-
-    @property
-    def n_live(self) -> int:
-        """Number of live tuples in the pool."""
-        return len(self._pool)
+        self._writer = DeltaWriter(
+            RankedJoinIndex.build(tuples, k, **build_options),
+            {t.tid: t for t in tuples},
+            wal,
+            threshold=delta_threshold,
+            build_options=build_options,
+            on_due=self.compact,
+        )
 
     @property
     def index(self) -> RankedJoinIndex:
         """The currently active underlying index."""
-        return self._index
+        return self._writer.index
 
-    @property
-    def delta(self) -> DeltaStore | None:
-        """The live write buffer (``None`` outside WAL mode)."""
-        return self._delta
-
-    # -- maintenance -------------------------------------------------------
-
-    def insert(self, tuple_: RankTuple) -> bool:
-        """Add a tuple; returns whether the index itself changed.
-
-        In WAL mode the records are committed to the log *before* any
-        in-memory state changes; the delta buffers the tuple and every
-        query merges it, so the return value is always ``True``.
-        """
-        tid = int(tuple_.tid)
-        if tid in self._pool:
-            raise MaintenanceError(f"tuple id {tid} already live")
-        if self._wal is not None and self._delta is not None:
-            candidate = RankTuple(tid, float(tuple_.s1), float(tuple_.s2))
-            if not (
-                math.isfinite(candidate.s1) and math.isfinite(candidate.s2)
-            ):
-                raise MaintenanceError("rank values must be finite")
-            lsn = self._wal.append_insert(tid, candidate.s1, candidate.s2)
-            self._wal.commit()
-            self._delta.insert(candidate, lsn)
-            self._pool[tid] = candidate
-            self.log.inserts_applied += 1
-            self._maybe_compact()
-            return True
-        self._pool[tid] = tuple_
-        changed = insert_tuple(self._index, tuple_)
-        if changed:
-            self.log.inserts_applied += 1
-        else:
-            self.log.inserts_pruned += 1
+    def insert(self, tuple_: RankTuple | tuple) -> bool:
+        changed = super().insert(tuple_)
+        self.log.inserts_applied += 1
         return changed
 
     def delete(self, tid: int) -> int:
-        """Remove a tuple; returns the effective bound that remains.
-
-        Both maintenance modes return the post-delete ``k_effective`` —
-        the same contract as
-        :meth:`repro.core.concurrent.ConcurrentRankedJoinIndex.delete` —
-        so callers can watch the guarantee degrade without a second
-        call.
-        """
-        tid = int(tid)
-        if tid not in self._pool:
-            raise MaintenanceError(f"tuple id {tid} is not live")
-        if self._wal is not None and self._delta is not None:
-            lsn = self._wal.append_delete(tid)
-            self._wal.commit()
-            del self._pool[tid]
-            self._delta.delete(tid, lsn)
-            self.log.deletes += 1
-            self._maybe_compact()
-            return self.k_effective
-        del self._pool[tid]
+        remaining = super().delete(tid)
         self.log.deletes += 1
-        if tid in self._index._position_of:
-            delete_tuple(self._index, tid)
-        if self._index.k_effective < self.min_effective_k:
-            self.rebuild(reason="effective bound fell below the floor")
-        return self.k_effective
-
-    def _maybe_compact(self) -> None:
-        delta = self._delta
-        if delta is None:
-            return
-        if (
-            delta.n_ops >= self._delta_threshold
-            or delta.n_tombstones * 2 >= self._index.k_effective
-        ):
-            self.compact()
+        return remaining
 
     def compact(self) -> None:
         """Merge the delta into a fresh base index and start it empty.
 
         The managed index keeps no durable snapshot of its own, so the
-        WAL is *not* checkpointed here — replaying the full log over the
+        log is *not* checkpointed here — replaying the full log over the
         original tuple set reconstructs this state after a crash.
         Durable checkpoint/prune lives in
         :class:`repro.storage.durable.DurableRankedJoinIndex`.
         """
-        if self._delta is None:
-            return
-        tuples = RankTupleSet.from_tuples(self._pool.values())
-        fresh = RankedJoinIndex.build(
-            tuples, self.k_bound, **self._build_options
-        )
-        self._delta = DeltaStore()
-        fresh.attach_delta(self._delta)
-        self._index = fresh
-        self.log.rebuilds += 1
-        self.log.events.append(f"compact; pool={len(self._pool)}")
+        self.rebuild(reason="delta due")
 
     def rebuild(self, *, reason: str = "requested") -> None:
         """Rebuild the index from the live pool, restoring full slack."""
-        tuples = RankTupleSet.from_tuples(self._pool.values())
-        self._index = RankedJoinIndex.build(
-            tuples, self.k_bound, **self._build_options
-        )
-        if self._delta is not None:
-            self._delta = DeltaStore()
-            self._index.attach_delta(self._delta)
+        self._writer.compact()
         self.log.rebuilds += 1
-        self.log.events.append(f"rebuild ({reason}); pool={len(self._pool)}")
+        self.log.events.append(
+            f"rebuild ({reason}); pool={len(self._writer.pool)}"
+        )
 
     def check_invariants(self) -> None:
-        """Index structure valid and every indexed tuple is live.
+        """Index structure valid and the delta consistent with the pool.
 
-        In WAL mode a base tuple may be dead *if* a tombstone hides it —
-        the delta is part of the logical state — and every buffered
-        insert must be live."""
-        self._index.check_invariants()
-        delta = self._delta
-        for tid in self._index.dominating.tids:
+        A base tuple may be dead *if* a tombstone hides it — the delta
+        is part of the logical state — and every buffered insert must be
+        live."""
+        writer = self._writer
+        writer.index.check_invariants()
+        for tid in writer.index.dominating.tids:
             tid = int(tid)
-            if tid not in self._pool and (
-                delta is None or not delta.tombstoned(tid)
-            ):
+            if tid not in writer.pool and not writer.delta.tombstoned(tid):
                 raise MaintenanceError(
                     f"indexed tuple {tid} is not in the live pool"
                 )
-        if delta is not None:
-            for pending in delta.pending_inserts():
-                if pending.tid not in self._pool:
-                    raise MaintenanceError(
-                        f"buffered insert {pending.tid} is not in the live pool"
-                    )
+        for pending in writer.delta.pending_inserts():
+            if pending.tid not in writer.pool:
+                raise MaintenanceError(
+                    f"buffered insert {pending.tid} is not in the live pool"
+                )

@@ -14,6 +14,7 @@ __all__ = [
     "InvalidQueryError",
     "QueryTimeoutError",
     "MaintenanceError",
+    "CompactionError",
     "LockDisciplineError",
     "StorageError",
     "PageOverflowError",
@@ -66,6 +67,15 @@ class QueryTimeoutError(QueryError):
 
 class MaintenanceError(ReproError):
     """An incremental update could not be applied to the index."""
+
+
+class CompactionError(MaintenanceError):
+    """A background compaction failed.
+
+    Recorded on the compaction thread and raised once by the next
+    write, ``compact()`` or ``drain_compaction()`` of the owning index;
+    the write that raises it is not applied.
+    """
 
 
 class LockDisciplineError(ReproError):

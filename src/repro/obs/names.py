@@ -106,6 +106,8 @@ COUNTERS = frozenset(
         "delta.deletes",
         "delta.merged_queries",
         "compaction.runs",
+        # a compaction whose build, persist or install raised
+        "compaction.failures",
     }
 )
 

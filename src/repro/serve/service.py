@@ -12,9 +12,11 @@ where ``preference`` is anything
 :func:`~repro.core.scoring.as_preference` accepts and ``deadline`` is a
 :class:`~repro.core.deadline.Deadline` or a plain budget in seconds
 (:data:`~repro.core.deadline.DeadlineLike`).  All of
-:class:`~repro.core.index.RankedJoinIndex`,
-:class:`~repro.core.concurrent.ConcurrentRankedJoinIndex`,
+:class:`~repro.core.index.RankedJoinIndex`, the three write tiers over
+the one write engine (:class:`~repro.core.writer.DeltaWriter`) —
 :class:`~repro.core.managed.ManagedRankedJoinIndex`,
+:class:`~repro.core.concurrent.ConcurrentRankedJoinIndex` and
+:class:`~repro.storage.durable.DurableRankedJoinIndex` —
 :class:`~repro.storage.resilient.ResilientDiskRankedJoinIndex` and the
 remote :class:`~repro.serve.client.Client` satisfy it, so swapping a
 local index for a networked one is a one-constructor change:
@@ -75,13 +77,15 @@ class MutableIndexService(IndexService, Protocol):
     """An :class:`IndexService` that also takes write traffic.
 
     ``insert`` returns whether the answered index changed (always
-    ``True`` on the WAL-then-delta path, where every live tuple is
-    servable); ``delete`` returns the effective bound that remains.
+    ``True``: every write is buffered in a delta that queries merge);
+    ``delete`` returns the effective bound that remains.  The three
+    tiers over the one write engine
+    (:class:`~repro.core.writer.DeltaWriter`) —
     :class:`~repro.core.managed.ManagedRankedJoinIndex`,
     :class:`~repro.core.concurrent.ConcurrentRankedJoinIndex` and
-    :class:`~repro.storage.durable.DurableRankedJoinIndex` satisfy it,
-    as does the remote :class:`~repro.serve.client.Client` against a
-    writable server.
+    :class:`~repro.storage.durable.DurableRankedJoinIndex` — satisfy
+    it, as does the remote :class:`~repro.serve.client.Client` against
+    a writable server.
     """
 
     def insert(self, tuple_: RankTuple) -> bool:

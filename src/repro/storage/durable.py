@@ -9,21 +9,23 @@
                           checkpoint (DiskRankedJoinIndex.recover opens
                           this and replays the same WAL)
 
-Writes follow the WAL-then-delta discipline: validate, append the
-record, ``commit()`` (fsync — the acknowledgement point), then apply to
-the in-memory :class:`~repro.core.delta.DeltaStore` and the live pool.
-Queries run against the immutable base :class:`RankedJoinIndex` with
-the delta attached, so merged answers stay bit-identical to a rebuild
-from scratch over the same logical tuple set (see
-:mod:`repro.core.delta` for the exactness argument).
+Writes run through the core write engine,
+:class:`~repro.core.writer.DeltaWriter`, with this log as its
+``SupportsWal``: validate, append the record, ``commit()`` (fsync — the
+acknowledgement point), then apply to the in-memory
+:class:`~repro.core.delta.DeltaStore` and the live pool.  Queries run
+against the immutable base :class:`RankedJoinIndex` with the delta
+attached, so merged answers stay bit-identical to a rebuild from
+scratch over the same logical tuple set (see :mod:`repro.core.delta`
+for the exactness argument).
 
-Once the delta passes the compaction threshold the whole pool is
-rebuilt into a fresh base (the snapshot keeps the *full* pool, not just
-the dominating set: tuples K-dominated today can resurface after
-deletes), the image and pool snapshot are saved atomically, the WAL is
-checkpointed and pruned, and the fresh base is swapped in.  A crash
-between any two of those steps is recoverable because replaying the
-WAL over the last durable snapshot is idempotent.
+Once the delta is due the engine rebuilds the whole pool into a fresh
+base (the snapshot keeps the *full* pool, not just the dominating set:
+tuples K-dominated today can resurface after deletes).  This tier's
+persist hook then saves the image and the pool snapshot atomically and
+checkpoints and prunes the WAL, and the engine swaps the fresh base
+in.  A crash between any two of those steps is recoverable because
+replaying the WAL over the last durable snapshot is idempotent.
 
 :meth:`DurableRankedJoinIndex.recover` is the crash side of the
 contract: load the pool snapshot, open the WAL (the open itself
@@ -33,23 +35,20 @@ LSN, rebuild, and report what happened in a :class:`RecoveryReport`.
 
 from __future__ import annotations
 
-import math
 import struct
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ContextManager, Iterable, Sequence
 
 import numpy as np
 
 from ..core import RankedJoinIndex
-from ..core.deadline import DeadlineLike
-from ..core.delta import DeltaStore
-from ..core.index import QueryResult
+from ..core.deadline import Deadline
 from ..core.scoring import PreferenceLike
 from ..core.tuples import RankTuple
-from ..errors import CorruptPageError, MaintenanceError, StorageError
+from ..core.writer import CompactionSnapshot, DeltaWriter, WriteTier
+from ..errors import CorruptPageError, StorageError
 from ..obs import NULL_RECORDER, QueryExplain, Recorder
 from .diskindex import DiskRankedJoinIndex
 from .pager import Pager
@@ -81,18 +80,17 @@ class RecoveryReport:
 
 def _write_pool_snapshot(
     path: Path,
-    pool: dict[int, RankTuple],
+    ordered: Sequence[RankTuple],
     checkpoint_lsn: int,
     k_bound: int,
     *,
     page_size: int = 4096,
 ) -> None:
-    """Persist the full live pool atomically (pager-v2 CRC machinery)."""
-    ordered = sorted(pool)
+    """Persist the tid-sorted live pool atomically (pager-v2 CRCs)."""
     records = np.empty(len(ordered), dtype=_POOL_DTYPE)
-    records["tid"] = ordered
-    records["s1"] = [pool[tid].s1 for tid in ordered]
-    records["s2"] = [pool[tid].s2 for tid in ordered]
+    records["tid"] = [t.tid for t in ordered]
+    records["s1"] = [t.s1 for t in ordered]
+    records["s2"] = [t.s2 for t in ordered]
     payload = records.tobytes()
 
     pager = Pager(page_size)
@@ -151,14 +149,15 @@ def _recover_pool_snapshot(
     return pool, checkpoint_lsn, k_bound
 
 
-class DurableRankedJoinIndex:
+class DurableRankedJoinIndex(WriteTier):
     """A Ranked Join Index whose writes survive crashes.
 
     Construct with :meth:`create` (fresh directory) or :meth:`recover`
     (after a crash or clean shutdown — recovery of a clean directory is
     a no-op replay).  Satisfies the :class:`repro.serve.IndexService`
-    protocol plus the write surface (``insert`` / ``delete``), so it
-    plugs straight into :class:`repro.serve.QueryServer`.
+    protocol plus the write surface (``insert`` / ``delete``, from
+    :class:`~repro.core.writer.WriteTier`), so it plugs straight into
+    :class:`repro.serve.QueryServer`.
 
     Thread-safe by a single reentrant lock over reads and writes: the
     durable tier optimizes for recoverability, not parallel read
@@ -178,19 +177,17 @@ class DurableRankedJoinIndex:
         build_options: dict | None = None,
     ):
         self._dir = Path(directory)
-        self._index = index
-        self._pool = pool
         self._wal = wal
-        self._delta = DeltaStore()
-        self._index.attach_delta(self._delta)
-        self._threshold = max(1, compaction_threshold)
-        self._recorder = recorder
-        self._build_options = dict(build_options or {})
+        self._writer = DeltaWriter(
+            index,
+            pool,
+            wal,
+            threshold=compaction_threshold,
+            build_options={**(build_options or {}), "recorder": recorder},
+            persist=self._persist,
+        )
         self._lock = threading.RLock()
-        #: Duck-typed chaos hook (see repro.faults.inject.arm).
-        self.faults = None
         self.last_recovery: RecoveryReport | None = None
-        self.compaction_pauses: list[float] = []
 
     # -- construction ------------------------------------------------------
 
@@ -211,8 +208,9 @@ class DurableRankedJoinIndex:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         pool = {t.tid: RankTuple(*t) for t in tuples}
+        ordered = sorted(pool.values())
         index = RankedJoinIndex.build(
-            sorted(pool.values()), k, recorder=recorder, **build_options
+            ordered, k, recorder=recorder, **build_options
         )
         wal = WriteAheadLog(
             directory / _WAL_DIR,
@@ -220,7 +218,7 @@ class DurableRankedJoinIndex:
             fsync=fsync,
             recorder=recorder,
         )
-        _write_pool_snapshot(directory / _POOL_FILE, pool, 0, k)
+        _write_pool_snapshot(directory / _POOL_FILE, ordered, 0, k)
         DiskRankedJoinIndex(index).save(directory / _BASE_FILE)
         return cls(
             directory,
@@ -295,181 +293,58 @@ class DurableRankedJoinIndex:
         )
         return instance
 
-    # -- queries (delegated; the attached delta merges) --------------------
+    # -- one reentrant lock over reads and writes --------------------------
 
-    @property
-    def k_bound(self) -> int:
-        with self._lock:
-            return self._index.k_bound
+    def _reading(self, deadline: Deadline | None = None) -> ContextManager:
+        return self._lock
 
-    @property
-    def k_effective(self) -> int:
-        """Largest exact ``k`` right now (tombstones consume slack)."""
-        with self._lock:
-            return max(
-                0, self._index.k_effective - self._delta.n_tombstones
-            )
-
-    def query(
-        self,
-        preference: PreferenceLike,
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[QueryResult]:
-        """Merged top-k; validation and merge live in the base index."""
-        with self._lock:
-            return self._index.query(preference, k, deadline=deadline)
-
-    def query_batch(
-        self,
-        preferences: Sequence[PreferenceLike],
-        k: int,
-        *,
-        deadline: DeadlineLike = None,
-    ) -> list[list[QueryResult]]:
-        with self._lock:
-            return self._index.query_batch(preferences, k, deadline=deadline)
+    def _writing(self) -> ContextManager:
+        return self._lock
 
     def explain(
         self, preference: PreferenceLike, k: int, *, record: bool = True
     ) -> QueryExplain:
         with self._lock:
-            return self._index.explain(preference, k, record=record)
-
-    # -- writes (WAL-then-delta) -------------------------------------------
-
-    def insert(self, tuple_: RankTuple | tuple) -> bool:
-        """Durably insert one tuple; acknowledged once the WAL synced.
-
-        Raises :class:`~repro.errors.MaintenanceError` for a duplicate
-        live tid or non-finite rank values.  Returns ``True`` (the write
-        is buffered and will enter the base at the next compaction).
-        """
-        tid, s1, s2 = tuple_
-        candidate = RankTuple(int(tid), float(s1), float(s2))
-        with self._lock:
-            if candidate.tid in self._pool:
-                raise MaintenanceError(
-                    f"tuple id {candidate.tid} already live"
-                )
-            if not (
-                math.isfinite(candidate.s1) and math.isfinite(candidate.s2)
-            ):
-                raise MaintenanceError("rank values must be finite")
-            lsn = self._wal.append_insert(
-                candidate.tid, candidate.s1, candidate.s2
-            )
-            self._wal.commit()
-            # Acknowledgement point: the record is durable.  A crash on
-            # apply (hook below) must be recovered, never lost.
-            if self.faults is not None:
-                self.faults.on_durable_apply()
-            self._delta.insert(candidate, lsn)
-            self._pool[candidate.tid] = candidate
-            if self._recorder.enabled:
-                self._recorder.count("delta.inserts")
-                self._recorder.observe("delta.size", self._delta.n_ops)
-            self._maybe_compact()
-            return True
-
-    def delete(self, tid: int) -> int:
-        """Durably delete a live tuple; returns the new effective bound.
-
-        Raises :class:`~repro.errors.MaintenanceError` when ``tid`` is
-        not live or the delete would empty the index.
-        """
-        tid = int(tid)
-        with self._lock:
-            if tid not in self._pool:
-                raise MaintenanceError(f"tuple id {tid} is not in the index")
-            if len(self._pool) == 1:
-                raise MaintenanceError(
-                    "deleting the last live tuple; an index cannot be empty"
-                )
-            lsn = self._wal.append_delete(tid)
-            self._wal.commit()
-            if self.faults is not None:
-                self.faults.on_durable_apply()
-            self._delta.delete(tid, lsn)
-            self._pool.pop(tid, None)
-            if self._recorder.enabled:
-                self._recorder.count("delta.deletes")
-                self._recorder.observe("delta.size", self._delta.n_ops)
-            self._maybe_compact()
-            return self.k_effective
+            return self._writer.index.explain(preference, k, record=record)
 
     # -- compaction --------------------------------------------------------
 
-    def _maybe_compact(self) -> None:
-        # Tombstones erode the exact-merge slack twice as fast as the
-        # op threshold admits, so force a compaction before queries at
-        # moderate k start failing validation.
-        if self._delta.n_ops >= self._threshold or (
-            self._delta.n_tombstones * 2 >= self._index.k_effective
-        ):
-            self.compact()
-
     def compact(self) -> None:
-        """Merge the delta into a fresh base and advance the checkpoint.
+        """Merge the delta into a fresh base and advance the checkpoint."""
+        with self._lock:
+            self._writer.compact()
+
+    def _persist(
+        self, fresh: RankedJoinIndex, snapshot: CompactionSnapshot
+    ) -> None:
+        """The engine's persist hook: image → checkpoint + pool → prune.
 
         Step order is the crash-safety argument: nothing destructive
         happens before the new image, checkpoint, and pool snapshot are
         durable, and the WAL prune at the end only drops segments the
         snapshot fully covers.  The chaos hook fires between steps so
-        fault plans can kill the process at each boundary.
+        fault plans can kill the process at each boundary (the engine
+        fires the two around the build).  Every caller already holds the
+        reentrant lock: :meth:`compact` takes it, and a write-triggered
+        compaction runs inside the write's hold.
         """
-        with self._lock, self._recorder.span("compaction"):
-            started = time.perf_counter()
-            self._recorder.count("compaction.runs")
-            self._chaos_step()  # before anything: WAL replay covers all
-            fresh = RankedJoinIndex.build(
-                sorted(self._pool.values()),
-                self._index.k_bound,
-                recorder=self._recorder,
-                **self._build_options,
-            )
-            self._chaos_step()  # built, nothing durable changed yet
-            DiskRankedJoinIndex(fresh).save(self._dir / _BASE_FILE)
-            self._chaos_step()  # image saved; checkpoint not yet cut
-            checkpoint_lsn = self._wal.checkpoint()
-            _write_pool_snapshot(
-                self._dir / _POOL_FILE,
-                self._pool,
-                checkpoint_lsn,
-                self._index.k_bound,
-            )
-            self._chaos_step()  # snapshot durable; prune still pending
-            self._wal.prune()
-            self._delta = DeltaStore()
-            fresh.attach_delta(self._delta)
-            self._index = fresh
-            self.compaction_pauses.append(time.perf_counter() - started)
-
-    def _chaos_step(self) -> None:
-        if self.faults is not None:
-            self.faults.on_compaction()
+        DiskRankedJoinIndex(fresh).save(self._dir / _BASE_FILE)
+        self._writer.chaos_step()  # image saved; checkpoint not yet cut
+        checkpoint_lsn = self._wal.checkpoint()
+        _write_pool_snapshot(
+            self._dir / _POOL_FILE,
+            snapshot.tuples,
+            checkpoint_lsn,
+            fresh.k_bound,
+        )
+        self._writer.chaos_step()  # snapshot durable; prune pending
+        self._wal.prune()
 
     # -- introspection -----------------------------------------------------
 
     @property
-    def delta(self) -> DeltaStore:
-        with self._lock:
-            return self._delta
-
-    @property
     def wal(self) -> WriteAheadLog:
         return self._wal
-
-    @property
-    def n_live(self) -> int:
-        with self._lock:
-            return len(self._pool)
-
-    def live_tuples(self) -> list[RankTuple]:
-        """The full live pool, tid-sorted — the rebuild reference set."""
-        with self._lock:
-            return sorted(self._pool.values())
 
     def close(self) -> None:
         self._wal.close()
@@ -478,6 +353,7 @@ class DurableRankedJoinIndex:
         with self._lock:
             return (
                 f"DurableRankedJoinIndex({str(self._dir)!r}, "
-                f"live={len(self._pool)}, delta={self._delta.n_ops}, "
+                f"live={len(self._writer.pool)}, "
+                f"delta={self._writer.delta.n_ops}, "
                 f"wal_lsn={self._wal.last_lsn})"
             )

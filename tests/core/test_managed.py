@@ -1,4 +1,4 @@
-"""Tests for the managed index (auto-rebuild lifecycle)."""
+"""Tests for the managed index (synchronous-compaction lifecycle)."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ def _tuples(n, seed=0, offset=0):
 
 def _assert_matches_pool(managed, k, seed=0):
     rng = np.random.default_rng(seed)
-    live = list(managed._pool.values())
+    live = list(managed._writer.pool.values())
     s1 = np.array([t.s1 for t in live])
     s2 = np.array([t.s2 for t in live])
     for _ in range(25):
@@ -28,16 +28,6 @@ def _assert_matches_pool(managed, k, seed=0):
         got = [r.score for r in managed.query(pref, k)]
         expected = np.sort(pref.p1 * s1 + pref.p2 * s2)[::-1][:k]
         np.testing.assert_allclose(got, expected, atol=1e-9)
-
-
-class TestConstruction:
-    def test_floor_validation(self):
-        with pytest.raises(MaintenanceError, match="min_effective_k"):
-            ManagedRankedJoinIndex(_tuples(20), 4, min_effective_k=5)
-
-    def test_default_floor_is_half(self):
-        managed = ManagedRankedJoinIndex(_tuples(50), 7)
-        assert managed.min_effective_k == 4
 
 
 class TestLifecycle:
@@ -48,30 +38,20 @@ class TestLifecycle:
 
     def test_delete_unknown(self):
         managed = ManagedRankedJoinIndex(_tuples(30), 4)
-        with pytest.raises(MaintenanceError, match="not live"):
+        with pytest.raises(MaintenanceError, match="not in the index"):
             managed.delete(10**9)
 
     def test_insert_counters(self):
         managed = ManagedRankedJoinIndex(_tuples(200, seed=1), 3)
         managed.insert(RankTuple(10_000, 1000.0, 1000.0))  # new champion
         managed.insert(RankTuple(10_001, 0.001, 0.001))  # surely dominated
-        assert managed.log.inserts_applied == 1
-        assert managed.log.inserts_pruned == 1
+        assert managed.log.inserts_applied == 2
         assert managed.n_live == 202
-
-    def test_deleting_pruned_tuple_keeps_guarantee(self):
-        managed = ManagedRankedJoinIndex(_tuples(200, seed=2), 4)
-        managed.insert(RankTuple(10_000, 0.001, 0.001))
-        managed.delete(10_000)
-        assert managed.k_effective == 4
-        assert managed.log.rebuilds == 0
 
     def test_auto_rebuild_restores_guarantee(self):
         k = 4
-        managed = ManagedRankedJoinIndex(
-            _tuples(300, seed=3), k, min_effective_k=3
-        )
-        # Delete current winners until the floor is crossed.
+        managed = ManagedRankedJoinIndex(_tuples(300, seed=3), k)
+        # Delete current winners until the tombstones force a rebuild.
         deletions = 0
         while managed.log.rebuilds == 0:
             winner = managed.query(Preference(1.0, 1.0), 1)[0].tid
@@ -84,9 +64,7 @@ class TestLifecycle:
 
     def test_mixed_stream_stays_exact(self):
         k = 5
-        managed = ManagedRankedJoinIndex(
-            _tuples(150, seed=4), k, min_effective_k=4
-        )
+        managed = ManagedRankedJoinIndex(_tuples(150, seed=4), k)
         extra = _tuples(100, seed=5, offset=10_000)
         rng = np.random.default_rng(6)
         inserted = 0
@@ -109,9 +87,7 @@ class TestLifecycle:
         assert managed.log.events[-1].startswith("rebuild (requested)")
 
     def test_query_beyond_degraded_bound_raises(self):
-        managed = ManagedRankedJoinIndex(
-            _tuples(200, seed=9), 4, min_effective_k=1
-        )
+        managed = ManagedRankedJoinIndex(_tuples(200, seed=9), 4)
         winner = managed.query(Preference(1.0, 1.0), 1)[0].tid
         managed.delete(winner)
         assert managed.k_effective == 3
