@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-max",
         type=int,
         default=64,
-        help="max requests coalesced into one vectorized batch (default 64)",
+        help="max requests coalesced into one batch (default 64)",
     )
     serve.add_argument(
         "--mmap",

@@ -14,10 +14,12 @@ construction-time bound ``K`` and then answers any top-k join query with
 
 The regions live in a :class:`~repro.core.regionstore.RegionStore`:
 one contiguous payload of pre-gathered ``(tid, s1, s2)`` columns plus a
-CSR offsets array, so the query hot path is a boundary ``searchsorted``,
-an array slice, and one vectorized score/``lexsort`` — no per-query
-Python loop over tuple ids.  The boxed ``Region`` list is materialized
-lazily for maintenance and introspection only.
+CSR offsets array.  A query bisects the separating points, takes the
+region's cached unboxed rows and scores them with plain float
+arithmetic — a region holds about K rows, below the break-even size of
+a NumPy kernel call.  :meth:`RankedJoinIndex.query_batch` is a loop over
+:meth:`RankedJoinIndex.query`.  The boxed ``Region`` list is
+materialized lazily for maintenance and introspection only.
 
 Variants (Section 6.2):
 
@@ -36,8 +38,6 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from ..errors import ConstructionError, InvalidQueryError
 from .deadline import Deadline, DeadlineLike
@@ -370,6 +370,26 @@ class RankedJoinIndex:
                 cache_hit=cache_hit,
                 cache_evicted=evicted,
             )
+        return self._evaluate(rows, preference, k, recorder, deadline)[0]
+
+    def _evaluate(
+        self,
+        rows: list[tuple[float, float, int]],
+        preference: Preference,
+        k: int,
+        recorder: Recorder,
+        deadline: Deadline | None,
+    ) -> tuple[list[QueryResult], int]:
+        """Score one region's rows; return the top ``k`` and rows sorted.
+
+        The single evaluation step of :meth:`query` and :meth:`explain`
+        (which reports the sorted-row count as its comparison budget).
+        Plain float64 arithmetic over the unboxed rows computes the
+        exact score bits of the column kernels, and the reversed
+        ``(score, s1, -tid)`` tuple sort realizes the total order
+        (score desc, s1 desc, tid asc), so answers are bit-identical to
+        the scalar reference.
+        """
         p1 = preference.p1
         p2 = preference.p2
         new = tuple.__new__
@@ -382,35 +402,23 @@ class RankedJoinIndex:
             if recorder.enabled:
                 recorder.count("delta.merged_queries")
             scored = delta.merged_scored(rows, p1, p2)
-            scored.sort(reverse=True)
-            if deadline is not None:
-                deadline.check("evaluate")
-            return [
-                new(QueryResult, (-neg_tid, score))
-                for score, _, neg_tid in scored[:k]
-            ]
-        if self.variant == "ordered":
+        elif self.variant == "ordered":
+            # Rows are stored in query order: no evaluation, no sort.
             return [
                 new(QueryResult, (-neg_tid, p1 * s1 + p2 * s2))
                 for s1, s2, neg_tid in rows[:k]
+            ], 0
+        else:
+            scored = [
+                (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
             ]
-        # Scalar scoring over the unboxed rows: plain float64 arithmetic
-        # computes the exact same score bits as the column kernels (a
-        # region holds K-ish rows, far below the break-even size of a
-        # NumPy kernel call), and the reversed (score, s1, -tid) tuple
-        # sort realizes the same total order (score desc, s1 desc, tid
-        # asc) as the pre-columnar lexsort, so answers are bit-identical
-        # to the scalar seed path.
-        scored = [
-            (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
-        ]
         scored.sort(reverse=True)
         if deadline is not None:
             deadline.check("evaluate")
         return [
             new(QueryResult, (-neg_tid, score))
             for score, _, neg_tid in scored[:k]
-        ]
+        ], len(scored)
 
     def _record_query(
         self,
@@ -497,42 +505,12 @@ class RankedJoinIndex:
         tee.count("rji.explains")
 
         started = time.perf_counter()
-        p1 = preference.p1
-        p2 = preference.p2
-        delta = self._delta
-        if delta is not None and not delta.is_empty:
-            # Mirror the merged query path exactly (results and metric
-            # stream), so an explained write-buffered query stays
-            # indistinguishable from a plain one.
-            tee.count("delta.merged_queries")
-            scored = delta.merged_scored(rows, p1, p2)
-            scored.sort(reverse=True)
-            results = tuple(
-                QueryResult(-neg_tid, score)
-                for score, _, neg_tid in scored[:k]
-            )
-            comparisons = sort_comparison_budget(len(scored))
-        elif self.variant == "ordered":
-            results = tuple(
-                QueryResult(-neg_tid, p1 * s1 + p2 * s2)
-                for s1, s2, neg_tid in rows[:k]
-            )
-            comparisons = 0
-        else:
-            scored = [
-                (p1 * s1 + p2 * s2, s1, neg_tid) for s1, s2, neg_tid in rows
-            ]
-            scored.sort(reverse=True)
-            results = tuple(
-                QueryResult(-neg_tid, score)
-                for score, _, neg_tid in scored[:k]
-            )
-            comparisons = sort_comparison_budget(len(rows))
+        results, n_sorted = self._evaluate(rows, preference, k, tee, None)
         t_score = time.perf_counter() - started
 
         explain = QueryExplain(
-            p1=p1,
-            p2=p2,
+            p1=preference.p1,
+            p2=preference.p2,
             angle=preference.angle,
             k=k,
             k_bound=self.k_bound,
@@ -548,9 +526,9 @@ class RankedJoinIndex:
             descent_path=path,
             cache_hit=cache_hit,
             tuples_evaluated=len(rows),
-            sort_comparisons=comparisons,
+            sort_comparisons=sort_comparison_budget(n_sorted),
             n_results=len(results),
-            results=results,
+            results=tuple(results),
             phases=(
                 PhaseTiming("locate", t_locate),
                 PhaseTiming("materialize", t_materialize),
@@ -572,91 +550,22 @@ class RankedJoinIndex:
         *,
         deadline: DeadlineLike = None,
     ) -> list[list[QueryResult]]:
-        """Answer many queries at once, amortizing region work.
+        """Answer many queries: one :meth:`query` call per preference.
 
-        Each preference is anything
-        :func:`~repro.core.scoring.as_preference` accepts.  Queries are
-        grouped by the region their angle falls into; each region's
-        payload columns are sliced once from the store and scored for
-        all of its queries.  Results are identical to issuing
-        :meth:`query` per preference.  ``deadline`` (a
-        :class:`~repro.core.deadline.Deadline` or seconds) is checked
-        once per region group, so a batch abandons work within one
-        group's worth of evaluation after its budget expires.  The
-        hot-region cache is not consulted here: one vectorized
-        ``searchsorted`` already locates every region in the batch, so
-        per-angle memoization would only add lock traffic.
+        Answers, metric events and hot-region cache traffic are exactly
+        those of issuing :meth:`query` per preference.  ``deadline`` (a
+        :class:`~repro.core.deadline.Deadline` or seconds) is one budget
+        for the whole batch, checked before each query, so an expired
+        batch stops within one query's worth of work.
         """
         self._validate_k(k)
-        coerced = [as_preference(p) for p in preferences]
         deadline = Deadline.of(deadline)
-        if not coerced:
-            return []
-        store = self._store
-        angles = np.array([p.angle for p in coerced])
-        region_ids = store.region_ids(angles)
-        unique_regions = np.unique(region_ids)
-        recorder = self._recorder
-        if recorder.enabled:
-            recorder.count("rji.batch.calls")
-            recorder.count("rji.queries", len(coerced))
-            recorder.observe("rji.batch.queries", len(coerced))
-            recorder.observe("rji.batch.groups", len(unique_regions))
-            recorder.observe("rji.regions_touched", len(unique_regions))
-
-        delta = self._delta
-        merged = delta is not None and not delta.is_empty
-        if merged and recorder.enabled:
-            recorder.count("delta.merged_queries", len(coerced))
-
-        results: list[list[QueryResult] | None] = [None] * len(coerced)
-        for region_id in unique_regions:
+        results = []
+        for preference in preferences:
             if deadline is not None:
                 deadline.check("batch")
-            start, stop = store.span(int(region_id))
-            queries = np.nonzero(region_ids == region_id)[0]
-            if stop == start and not merged:
-                for q in queries:
-                    results[int(q)] = []
-                continue
-            s1 = store.s1[start:stop]
-            s2 = store.s2[start:stop]
-            neg_s1 = store.neg_s1[start:stop]
-            tids = store.tids[start:stop]
-            if merged:
-                # Merged view: drop tombstoned base rows, append the
-                # buffered inserts, and recompute the negated-s1 key
-                # (float negation is exact, so the combined lexsort is
-                # bit-identical to the scalar merged sort).
-                assert delta is not None
-                keep = delta.survivor_mask(tids)
-                d_tids, d_s1, d_s2 = delta.insert_columns()
-                tids = np.concatenate((tids[keep], d_tids))
-                s1 = np.concatenate((s1[keep], d_s1))
-                s2 = np.concatenate((s2[keep], d_s2))
-                neg_s1 = -s1
-            if recorder.enabled:
-                recorder.count(
-                    "rji.batch.tuples_evaluated",
-                    len(tids) * len(queries),
-                    {"region": int(region_id)},
-                )
-            for q in queries:
-                preference = coerced[int(q)]
-                # Same arithmetic as the scalar path, so batch answers
-                # are bit-identical to per-query answers.
-                scores = preference.p1 * s1 + preference.p2 * s2
-                if self.variant == "ordered" and not merged:
-                    chosen = np.arange(min(k, stop - start))
-                else:
-                    chosen = np.lexsort((tids, neg_s1, -scores))[:k]
-                results[int(q)] = [
-                    QueryResult(tid, score)
-                    for tid, score in zip(
-                        tids[chosen].tolist(), scores[chosen].tolist()
-                    )
-                ]
-        return results  # type: ignore[return-value]
+            results.append(self.query(preference, k, deadline=deadline))
+        return results
 
     # -- delta merge -------------------------------------------------------
 

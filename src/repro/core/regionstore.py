@@ -20,7 +20,7 @@ contiguous NumPy arrays, built once per (re)construction:
     The gathered payload columns: region ``i`` owns rows
     ``offsets[i]:offsets[i + 1]``, holding the tuple ids and both rank
     values of its composition, pre-gathered from the dominating set so
-    a query is boundary search + slice + one vectorized score pass.
+    a query is a boundary search plus one region's rows.
 
 Values are copied *from* the dominating arrays, so query answers are
 bit-identical to scoring the dominating set through a position gather —
@@ -53,7 +53,6 @@ class RegionStore:
         "tids",
         "s1",
         "s2",
-        "neg_s1",
         "_rows",
     )
 
@@ -77,11 +76,8 @@ class RegionStore:
         self.tids = tids
         self.s1 = s1
         self.s2 = s2
-        # Pre-negated sort key for the (score desc, s1 desc, tid asc)
-        # lexsort of the batch query path.
-        self.neg_s1 = -s1
-        # Lazily unboxed per-region rows for the scalar query fast path
-        # (see :meth:`rows`).
+        # Lazily unboxed per-region rows for the query path (see
+        # :meth:`rows`).
         self._rows: list[list[tuple[float, float, int]] | None] = [
             None
         ] * len(lo)
@@ -103,10 +99,10 @@ class RegionStore:
         The zero-copy attach point: the columns are taken as-is — they
         may be *read-only* views (e.g. ``np.frombuffer`` over validated
         pages of a memory-mapped index file); every query path reads
-        the columns and never writes, and the derived arrays
-        (``neg_s1``, the lazy row cache) are fresh allocations.  Shapes
-        are validated; contents are trusted (callers hold columns that
-        already passed construction or page-checksum verification).
+        the columns and never writes, and the derived lazy row cache is
+        a fresh allocation.  Shapes are validated; contents are trusted
+        (callers hold columns that already passed construction or
+        page-checksum verification).
         """
         n_regions = len(lo)
         if n_regions == 0:
@@ -184,10 +180,6 @@ class RegionStore:
     def region_id(self, angle: float) -> int:
         """Index of the region whose ``[lo, hi)`` span contains ``angle``."""
         return bisect_right(self.lows_list, angle)
-
-    def region_ids(self, angles: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`region_id` for an array of angles."""
-        return np.searchsorted(self.lows, angles, side="right")
 
     def descent_path(self, angle: float) -> tuple[int, tuple[int, ...]]:
         """Region id plus the separating-point positions probed to find it.
@@ -280,7 +272,6 @@ class RegionStore:
             + self.tids.nbytes
             + self.s1.nbytes
             + self.s2.nbytes
-            + self.neg_s1.nbytes
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,8 +9,9 @@ field of the wire protocol, and the server restores it into a
 onto the ``attrs`` of **every** recorder event the request touches: the
 core descent counters, the hot-region cache hits, the storage pager
 reads, the serving spans.  A coalesced batch executes under *all* of its
-member ids at once, so ``serve.batches`` / ``rji.batch.*`` events carry
-a ``traces`` list naming exactly which requests the call amortized.
+member ids at once, so ``serve.batches`` and the core ``rji.*`` events
+of its queries carry a ``traces`` list naming exactly which requests
+the call covered.
 
 Contextvars (not thread-locals) propagate the ids, so the discipline
 survives whatever execution substrate the serving tier grows next

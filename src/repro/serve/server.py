@@ -1,8 +1,8 @@
 """A threaded socket server with admission control over any IndexService.
 
 :class:`QueryServer` is the serving-side counterpart of the paper's
-``O(log n + K)`` query bound: it amortizes the vectorized
-``query_batch`` path across concurrent clients.  The moving parts:
+``O(log n + K)`` query bound: it answers concurrent clients from one
+executor thread.  The moving parts:
 
 * **connections** — one acceptor thread plus one reader thread per
   connection, speaking the length-prefixed JSON protocol of
@@ -15,8 +15,8 @@
   ``batch_max``), coalesces concurrent single ``query`` requests with
   the same ``k`` into one
   :meth:`~repro.core.index.RankedJoinIndex.query_batch` call, and
-  answers each request individually.  Batch answers are bit-identical
-  to per-query answers by the core's construction;
+  answers each request individually.  The core's batch is a loop over
+  ``query``, so batch answers are bit-identical to per-query answers;
 * **deadlines** — a request's ``deadline_ms`` arms a
   :class:`~repro.core.deadline.Deadline` at admission.  It bounds the
   queue wait of coalesced singles (an expired request is answered with
@@ -85,6 +85,14 @@ from .protocol import (
 from .service import IndexService
 
 __all__ = ["QueryServer"]
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Wake any thread blocked on ``sock``; a dead socket is fine."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
 
 @dataclass(slots=True, eq=False)
@@ -172,6 +180,9 @@ class QueryServer:
         self._stopping = False
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
+        # Per-connection reader threads; only the acceptor appends (and
+        # prunes finished ones), and close() joins them once it is gone.
+        self._conn_threads: list[threading.Thread] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -221,6 +232,9 @@ class QueryServer:
             abandoned = len(self._queue)
             self._queue_cond.notify_all()
         if self._listener is not None:
+            # Closing a listening socket does not wake a thread blocked
+            # in accept(); shutting it down first does.
+            _shutdown(self._listener)
             try:
                 self._listener.close()
             except OSError:
@@ -231,6 +245,8 @@ class QueryServer:
             conns = list(self._conns)
         for conn in conns:
             self._drop_connection(conn)
+        for thread in self._conn_threads:
+            thread.join(timeout=5.0)
         self._maybe_dump_flight(abandoned)
 
     def _maybe_dump_flight(self, abandoned: int) -> None:
@@ -296,9 +312,16 @@ class QueryServer:
                 daemon=True,
             )
             thread.start()
+            self._conn_threads = [
+                t for t in self._conn_threads if t.is_alive()
+            ]
+            self._conn_threads.append(thread)
 
     def _drop_connection(self, conn: _Connection) -> None:
         conn.alive = False
+        # Shut down before closing, so a reader blocked in recv() on
+        # this socket wakes up and its thread can exit.
+        _shutdown(conn.sock)
         try:
             conn.sock.close()
         except OSError:
@@ -513,12 +536,12 @@ class QueryServer:
             self._execute_direct(pending)
 
     def _execute_singles(self, k: int, group: list[_Pending]) -> None:
-        """One vectorized ``query_batch`` call for coalesced singles.
+        """One ``query_batch`` call for coalesced singles.
 
         The whole call executes under *all* member trace ids at once, so
-        every event it emits (``serve.batches``, the core's
-        ``rji.batch.*``) carries a ``traces`` list naming exactly which
-        requests the batch amortized.
+        every event it emits (``serve.batches``, the core's per-query
+        ``rji.*``) carries a ``traces`` list naming exactly which
+        requests the batch covered.
         """
         capture = RequestCapture()
         traces = [p.request.trace for p in group]

@@ -121,6 +121,17 @@ class TestQueryPathWiring:
         assert counters["rji.cache.hits"] == 1
         assert counters["rji.cache.misses"] == 1
 
+    def test_batch_consults_the_cache(self):
+        recorder = MetricsRecorder()
+        index = RankedJoinIndex.build(
+            _tuples(), 10, cache_size=8, recorder=recorder
+        )
+        answers = index.query_batch([(2.0, 1.0), (2.0, 1.0), 0.3], 5)
+        counters = recorder.snapshot()["counters"]
+        assert counters["rji.cache.hits"] == 1
+        assert counters["rji.cache.misses"] == 2
+        assert answers[0] == answers[1] == index.query((2.0, 1.0), 5)
+
     def test_cached_answers_identical_to_uncached(self):
         tuples = _tuples(400, seed=11)
         plain = RankedJoinIndex.build(tuples, 12)

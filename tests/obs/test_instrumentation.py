@@ -79,15 +79,17 @@ class TestQueryInstrumentation:
             preferences
         )
 
-    def test_batch_counters(self, tuples, preferences):
-        recorder = MetricsRecorder()
-        index = RankedJoinIndex.build(tuples, 8, recorder=recorder)
-        recorder.reset()
-        index.query_batch(preferences, 5)
-        assert recorder.counter("rji.batch.calls") == 1
-        assert recorder.counter("rji.queries") == len(preferences)
-        assert recorder.series("rji.batch.queries").total == len(preferences)
-        assert recorder.series("rji.batch.groups").total >= 1
+    def test_batch_emits_what_single_queries_emit(self, tuples, preferences):
+        batched, singles = MetricsRecorder(), MetricsRecorder()
+        batch_index = RankedJoinIndex.build(tuples, 8, recorder=batched)
+        single_index = RankedJoinIndex.build(tuples, 8, recorder=singles)
+        batched.reset()
+        singles.reset()
+        batch_index.query_batch(preferences, 5)
+        for preference in preferences:
+            single_index.query(preference, 5)
+        assert batched.counter("rji.queries") == len(preferences)
+        assert batched.snapshot() == singles.snapshot()
 
     def test_results_identical_with_and_without(self, tuples, preferences):
         plain = RankedJoinIndex.build(tuples, 8)

@@ -1,6 +1,7 @@
 """End-to-end server tests: batching, admission control, deadlines."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -261,3 +262,31 @@ class TestLifecycle:
             for _ in range(3):  # first call may still see buffered data
                 client.query(0.5, 3)
         client.close()
+
+    def test_idle_close_is_prompt_and_joins_threads(self, index):
+        before = set(threading.enumerate())
+        server = QueryServer(index, port=0).start()
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < 1.0
+        assert _new_serve_threads(before) == []
+
+    def test_close_joins_connection_threads(self, index):
+        before = set(threading.enumerate())
+        server = QueryServer(index, port=0).start()
+        host, port = server.address
+        client = Client(host, port)
+        assert client.query(0.5, 3)
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < 1.0
+        assert _new_serve_threads(before) == []
+        client.close()
+
+
+def _new_serve_threads(before):
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t not in before and t.name.startswith("serve-")
+    ]
